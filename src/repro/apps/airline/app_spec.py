@@ -86,7 +86,8 @@ class AirlineSystem:
         self.system = system
         self.database = database
         self.agents: Dict[str, TravelAgent] = {}
-        self.cache_managers: Dict[str, CacheManager] = {}
+        # The system's own registry: a killed agent's CM leaves both.
+        self.cache_managers: Dict[str, CacheManager] = system.cache_managers
 
     def add_travel_agent(
         self,
@@ -105,7 +106,6 @@ class AirlineSystem:
         if node is not None and getattr(self.transport, "topology", None) is not None:
             self.transport.place(cm.address, node)
         self.agents[agent_id] = agent
-        self.cache_managers[agent_id] = cm
         return agent, cm
 
     @property

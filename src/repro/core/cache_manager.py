@@ -187,6 +187,10 @@ class CacheManager:
         self._triggers_stopped = False
         self._closed = False
         self._crashed = False
+        # The owning system's view-id -> CM dict (set by ``add_view``);
+        # a completed kill_image removes this CM from it so the id can
+        # be reused and a departed view's state is not kept alive.
+        self.registry: Optional[Dict[str, "CacheManager"]] = None
         # Graceful degradation: set when the directory stays silent
         # through a full retry budget (or heartbeats go unanswered).
         # A degraded CM serves weak reads from its possibly-stale local
@@ -707,6 +711,9 @@ class CacheManager:
                 comp.fail(exc)
                 return
             self._shutdown()
+            registry, self.registry = self.registry, None
+            if registry is not None and registry.get(self.view_id) is self:
+                del registry[self.view_id]
             comp.resolve(None)
 
         self._request(

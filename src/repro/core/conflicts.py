@@ -253,10 +253,18 @@ class ConflictPolicy:
             stamps[v] = stamps.get(v, 0) + 1
 
     def _evict_pairs(self, view_id: str) -> None:
-        """Drop every cached pairwise answer involving ``view_id``."""
+        """Drop every cached pairwise answer involving ``view_id``, and
+        its entry in the partner's reverse set."""
         pair_cache = self._pair_cache
-        for key in self._pairs_of.pop(view_id, _EMPTY_SET):
+        pairs_of = self._pairs_of
+        for key in pairs_of.pop(view_id, _EMPTY_SET):
             pair_cache.pop(key, None)
+            partner = key[1] if key[0] == view_id else key[0]
+            partner_keys = pairs_of.get(partner)
+            if partner_keys is not None:
+                partner_keys.discard(key)
+                if not partner_keys:
+                    del pairs_of[partner]
 
     def _static_partners(self, view_id: str) -> List[str]:
         """Views statically marked SHARED with ``view_id``.

@@ -490,24 +490,47 @@ class DirectoryManager:
     def check_invariants(self) -> None:
         """Raise ProtocolError when a protocol invariant is broken.
 
-        Strong-mode invariant: an exclusive owner has no conflicting
-        active view (one-copy serializability, paper §4).  Driven from
-        the maintained exclusive set and the conflict index, so the
-        check costs O(owners x conflict degree), not O(V^2) — usable
-        as a per-op assertion even at 10k registered views.
+        Strong-mode invariant: an exclusive owner is active and has no
+        conflicting active view (one-copy serializability, paper §4).
+        The full check runs :meth:`_check_view_invariants` for every
+        exclusive owner — every violating pair contains one — so it
+        costs O(owners x conflict degree), not O(V^2).  The per-op
+        paths check only the view they just served (see there).
         """
         for vid in sorted(self._exclusive_set):
-            rec = self.views.get(vid)
-            if rec is None:
-                continue
-            if not rec.active:
-                raise ProtocolError(f"{vid} exclusive but not active")
-            for other in self.conflict_set_of(vid):
-                if other in self._active_set:
-                    raise ProtocolError(
-                        f"strong-mode violation: {vid} owns exclusively "
-                        f"but conflicting {other} is active"
-                    )
+            self._check_view_invariants(vid)
+
+    def _check_view_invariants(self, view_id: str) -> None:
+        """The strong-mode invariant restricted to pairs containing
+        ``view_id``: exclusive implies active, and the view is not
+        active next to a conflicting exclusive owner nor exclusive next
+        to a conflicting active view.
+
+        This is the per-op check after a grant or serve.  It is as
+        strong as :meth:`check_invariants` there: only a serve sets
+        ``active``/``exclusive`` (for the served view alone), and the
+        conflict relation is symmetric, so every pair that op could
+        break contains ``view_id``.  Costs one conflict-set lookup.
+        """
+        rec = self.views.get(view_id)
+        if rec is None:
+            return
+        active, exclusive = rec.active, rec.exclusive
+        if exclusive and not active:
+            raise ProtocolError(f"{view_id} exclusive but not active")
+        if not active:
+            return
+        for other in self.conflict_set_of(view_id):
+            if other in self._exclusive_set:
+                raise ProtocolError(
+                    f"strong-mode violation: {other} owns exclusively "
+                    f"but conflicting {view_id} is active"
+                )
+            if exclusive and other in self._active_set:
+                raise ProtocolError(
+                    f"strong-mode violation: {view_id} owns exclusively "
+                    f"but conflicting {other} is active"
+                )
 
     # ------------------------------------------------------------------
     # Lease-based failure detection & quarantine
@@ -874,7 +897,7 @@ class DirectoryManager:
             )
             self._log_cursors(rec)
             self._reply(msg, M.GRANT, payload)
-            self.check_invariants()
+            self._check_view_invariants(rec.view_id)
             return
         self._enqueue(_PendingOp("acquire", msg, rec.view_id))
 
@@ -1213,7 +1236,7 @@ class DirectoryManager:
             # of forcing a full re-sync.
             self._log_cursors(rec)
             self._reply(op.request, reply_type, payload)
-            self.check_invariants()
+            self._check_view_invariants(rec.view_id)
         self._pump()
 
     def _serve_payload(self, op: _PendingOp, rec: ViewRecord) -> Dict[str, Any]:
@@ -1256,7 +1279,7 @@ class DirectoryManager:
             else:
                 self.counters["delta_serves"] += 1
         if not serve_delta:
-            image = self.extract_from_object(self.component, rec.properties)
+            image = self._extract_full(rec)
             slice_size = len(image)
             self.counters["full_serves"] += 1
         # Stamp the served cells with the authoritative versions and
@@ -1294,6 +1317,24 @@ class DirectoryManager:
             self.counters["partial_extracts"] += 1
             return self.extract_cells(self.component, rec.properties, keys)
         return self.extract_from_object(self.component, rec.properties).restrict(keys)
+
+    def _extract_full(self, rec: ViewRecord) -> ObjectImage:
+        """Materialize a view's whole slice for a full serve.
+
+        When the slice key index already holds the view's keys and an
+        ``extract_cells`` hook exists, only those keys are materialized
+        instead of scanning the whole component.  An image that comes
+        up short (a filtering hook, or a stale index) drops the view's
+        index entry and falls back to the full extract.
+        """
+        keys = self._slice_index.get(rec.view_id)
+        if keys is not None and self.extract_cells is not None:
+            self.counters["slice_index_hits"] += 1
+            image = self._extract_slice(rec, list(keys))
+            if len(image) == len(keys):
+                return image
+            self.invalidate_slice_index(rec.view_id)
+        return self.extract_from_object(self.component, rec.properties)
 
     def _forget_in_rounds(self, view_id: str) -> None:
         """Remove a vanished view from any in-flight round."""

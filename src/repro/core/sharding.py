@@ -1275,6 +1275,7 @@ class ShardedFleccSystem:
             heartbeat_period=heartbeat_period,
             **cm_kwargs,
         )
+        cm.registry = self.cache_managers
         self.cache_managers[view_id] = cm
         return cm
 

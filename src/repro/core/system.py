@@ -153,6 +153,7 @@ class FleccSystem:
             heartbeat_period=heartbeat_period,
             **cm_kwargs,
         )
+        cm.registry = self.cache_managers
         self.cache_managers[view_id] = cm
         return cm
 

@@ -193,6 +193,30 @@ def test_unregister_scopes_to_neighborhood():
     assert pol.generation == 0
 
 
+def test_transient_views_leave_no_pair_keys_behind():
+    """A departing view's cached pairs leave its partners' reverse sets
+    too, so a standing view's set tracks its live cached pairs instead
+    of growing with every view that ever conflicted with it."""
+    registry = {"standing": _ps(cells=DiscreteSet({1}))}
+    pol = _indexed_policy(registry)
+    for i in range(200):
+        vid = f"t{i}"
+        registry[vid] = _ps(cells=DiscreteSet({1}))
+        pol.register_view(vid, registry[vid])
+        assert pol.conflict_set("standing") == [vid]
+        del registry[vid]
+        pol.unregister_view(vid)
+        assert vid not in pol._pairs_of
+    assert pol._pairs_of.get("standing", set()) == set()
+    assert pol._pair_cache == {}
+    # A live partner's pair stays indexed on both sides.
+    registry["b"] = _ps(cells=DiscreteSet({1}))
+    pol.register_view("b", registry["b"])
+    assert pol.conflict_set("standing") == ["b"]
+    assert pol._pairs_of["standing"] == {("b", "standing")}
+    assert pol._pairs_of["b"] == {("b", "standing")}
+
+
 def test_property_update_invalidates_old_and_new_neighborhoods():
     registry = {
         "a": _ps(cells=DiscreteSet({1})),

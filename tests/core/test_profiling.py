@@ -317,6 +317,43 @@ def test_check_invariants_cost_tracks_exclusive_degree():
     dm.close()
 
 
+def _grant_conflict_work(standing_owners: int) -> tuple:
+    """Conflict work (conflict-set lookups, pair answers) of one grant,
+    per-op invariant check included, with ``standing_owners`` views
+    already holding exclusive ownership elsewhere."""
+    h = _BareDirHarness(conflict_index=True)
+    for i in range(N_SCALE):
+        h.register(_vid(i), _props_of(i))
+    h.drain()
+    dm = h.dm
+    for k in range(standing_owners):
+        h.acquire(_vid(2 * k))  # one owner per disjoint pair group
+    h.drain()
+    assert len(dm.exclusive_views()) == standing_owners
+    calls = []
+    lookup = dm.conflict_set_of
+    dm.conflict_set_of = lambda vid: calls.append(vid) or lookup(vid)
+    pol = dm.policy
+    work0 = pol.dynamic_evals + pol.cache_hits
+    h.acquire(_vid(N_SCALE - 1))  # a fresh group: no round, direct grant
+    h.drain()
+    work = len(calls), pol.dynamic_evals + pol.cache_hits - work0
+    assert dm.views[_vid(N_SCALE - 1)].exclusive
+    dm.check_invariants()
+    dm.close()
+    return work
+
+
+def test_per_op_invariant_check_is_independent_of_standing_owners():
+    """The check after a grant covers only the served view, so the
+    grant costs the same conflict work beside 1 or 500 standing owners
+    (the full check would walk every owner's conflict set)."""
+    one = _grant_conflict_work(1)
+    many = _grant_conflict_work(500)
+    assert one == many, (one, many)
+    assert one[0] <= 2, one  # the op's own lookup + its scoped check
+
+
 def test_activity_sets_follow_direct_flag_mutation():
     h = _BareDirHarness(conflict_index=True)
     h.register(_vid(0), _props_of(0))
